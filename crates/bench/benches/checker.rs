@@ -9,8 +9,7 @@ use elle_history::History;
 
 /// `CRITERION_QUICK=1` (the CI smoke) truncates the length series —
 /// still a multi-point sweep so the extended-series path is exercised,
-/// but without the 512k/1M points whose generation alone is minutes
-/// (those are recorded offline into `BENCH_checker.json`).
+/// but without the 512k/1M points whose generation alone is minutes.
 fn quick() -> bool {
     std::env::var_os("CRITERION_QUICK").is_some_and(|v| v == "1")
 }
@@ -46,22 +45,16 @@ fn bench_length(c: &mut Criterion) {
 /// The early-acyclic certificate on a clean history: one Tarjan pass
 /// under the full mask versus the per-class passes it skips.
 fn bench_acyclic_certificate(c: &mut Criterion) {
-    use elle_core::datatype::{run_mode, Parallelism};
+    use elle_core::datatype::run;
     use elle_core::{
-        add_process_edges, add_realtime_edges, find_cycle_anomalies_mode, CycleSearchOptions,
+        add_process_edges, add_realtime_edges, find_cycle_anomalies_frozen, CycleSearchOptions,
         DataType, KeyTypes, ProvenanceIndex,
     };
     let n = if quick() { 2_000 } else { 16_000 };
     let h = history(n, 20, IsolationLevel::Serializable);
     let elems = ProvenanceIndex::build(&h);
     let keys = KeyTypes::infer(&h).keys_of(DataType::List);
-    let out = run_mode::<elle_core::list_append::ListAppend>(
-        &h,
-        &elems,
-        &keys,
-        (),
-        Parallelism::Sequential,
-    );
+    let out = run::<elle_core::list_append::ListAppend>(&h, &elems, &keys, ());
     let mut deps = out.deps;
     add_process_edges(&mut deps, &h);
     add_realtime_edges(&mut deps, &h);
@@ -73,7 +66,7 @@ fn bench_acyclic_certificate(c: &mut Criterion) {
     for (name, certificate) in [("certificate", true), ("all_class_passes", false)] {
         g.bench_function(&format!("{name}_{n}"), |b| {
             b.iter(|| {
-                find_cycle_anomalies_mode(
+                find_cycle_anomalies_frozen(
                     &deps,
                     &csr,
                     &h,
@@ -81,7 +74,6 @@ fn bench_acyclic_certificate(c: &mut Criterion) {
                         certificate,
                         ..base
                     },
-                    Parallelism::Sequential,
                 )
             })
         });

@@ -1,7 +1,6 @@
 //! Criterion microbenchmarks for the graph substrate: Tarjan SCC and
 //! cycle search on the legacy `DiGraph` vs. the frozen CSR, plus the
 //! freeze cost, edge-mask lookups, and the interval-order reduction.
-//! `BENCH_graph.json` at the repo root records these series.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use elle_graph::{

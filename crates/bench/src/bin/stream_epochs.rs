@@ -10,7 +10,7 @@
 //! cargo run --release -p elle-bench --bin stream_epochs -- [txns] [epoch]
 //! ```
 //!
-//! Prints a JSON object suitable for pasting into BENCH_checker.json.
+//! Prints the series as one JSON object on stdout.
 
 use elle_core::{CheckOptions, Checker};
 use elle_dbsim::{DbConfig, IsolationLevel, ObjectKind};

@@ -4,7 +4,7 @@
 use crate::anomaly::{Anomaly, AnomalyType};
 use crate::counter;
 use crate::cycle_search::{find_cycle_anomalies_frozen, CycleSearchOptions};
-use crate::datatype::{self, Parallelism};
+use crate::datatype;
 use crate::deps::DepGraph;
 use crate::list_append;
 use crate::models::{strongest_satisfiable, violated_models, ConsistencyModel};
@@ -496,13 +496,7 @@ impl Checker {
         let list_keys = kt.keys_of(DataType::List);
         if !list_keys.is_empty() {
             let out = if seed_reference {
-                datatype::run_mode::<reference::ListAppendRef>(
-                    history,
-                    &elems,
-                    &list_keys,
-                    (),
-                    Parallelism::Auto,
-                )
+                datatype::run::<reference::ListAppendRef>(history, &elems, &list_keys, ())
             } else {
                 datatype::run::<list_append::ListAppend>(history, &elems, &list_keys, ())
             };
@@ -514,12 +508,11 @@ impl Checker {
         let reg_keys = kt.keys_of(DataType::Register);
         if !reg_keys.is_empty() {
             let out = if seed_reference {
-                datatype::run_mode::<reference::RwRegisterRef>(
+                datatype::run::<reference::RwRegisterRef>(
                     history,
                     &elems,
                     &reg_keys,
                     opts.registers,
-                    Parallelism::Auto,
                 )
             } else {
                 datatype::run::<rw_register::RwRegister>(history, &elems, &reg_keys, opts.registers)
@@ -532,13 +525,7 @@ impl Checker {
         let set_keys = kt.keys_of(DataType::Set);
         if !set_keys.is_empty() {
             let out = if seed_reference {
-                datatype::run_mode::<reference::SetAddRef>(
-                    history,
-                    &elems,
-                    &set_keys,
-                    (),
-                    Parallelism::Auto,
-                )
+                datatype::run::<reference::SetAddRef>(history, &elems, &set_keys, ())
             } else {
                 datatype::run::<set_add::SetAdd>(history, &elems, &set_keys, ())
             };

@@ -18,27 +18,23 @@
 //! ## Execution
 //!
 //! All searches run on the frozen [`Csr`] snapshot of the IDSG — no
-//! per-anomaly-class subgraph copies. Work fans out in two phases,
-//! mirroring the per-key datatype pipeline:
+//! per-anomaly-class subgraph copies — on one thread with one reused
+//! [`Scratch`]:
 //!
-//! 1. one Tarjan SCC pass per *search* (augmentation level × anomaly
-//!    class), parallel across searches;
-//! 2. one *candidate* search per (search, SCC) work item, parallel across
-//!    work items with per-worker [`Scratch`] reuse.
+//! 1. one Tarjan SCC pass per distinct admitted mask (augmentation
+//!    level × anomaly class), with SCC lists in canonical order;
+//! 2. one *candidate* search per (search, SCC) pair, merged as it is
+//!    found in (level, class, SCC index, discovery order).
 //!
-//! Candidate generation is a pure function of the frozen graph, so the
-//! fan-out is followed by a strictly sequential merge in (level, class,
-//! SCC index, discovery order) — reports are byte-identical whether the
-//! fan-out ran on one thread or many. `ELLE_SEQUENTIAL=1` pins the stage
-//! (and the datatype pipeline) to the sequential path.
+//! Candidate generation is a pure function of the frozen graph and the
+//! SCC lists are sorted by smallest member, so the merge order — and
+//! the report, byte for byte — depends only on the graph's edge set.
 
 use crate::anomaly::{Anomaly, AnomalyType, CycleStep};
-use crate::datatype::Parallelism;
 use crate::deps::DepGraph;
 use crate::explain::explain_cycle;
 use elle_graph::{Csr, CycleSpec, EdgeClass, EdgeMask, Scratch};
 use elle_history::{History, TxnId};
-use rayon::prelude::*;
 use rustc_hash::FxHashSet;
 
 /// Cycle-search configuration.
@@ -153,8 +149,8 @@ fn search_plan(opts: CycleSearchOptions) -> Vec<Search> {
     plan
 }
 
-/// Candidate cycles for one (search, SCC) work item — a pure function of
-/// the frozen graph, safe to fan out.
+/// Candidate cycles for one (search, SCC) pair — a pure function of the
+/// frozen graph.
 fn candidates(
     csr: &Csr,
     search: Search,
@@ -168,22 +164,6 @@ fn candidates(
             .into_iter()
             .collect(),
         Some((first, rest)) => csr.find_cycle_with_single(scc, first, rest, max, scratch),
-    }
-}
-
-/// Fan-out engages only when the item count can plausibly pay for the
-/// thread scope (mirrors the datatype pipeline's key threshold).
-const AUTO_PARALLEL_MIN_ITEMS: usize = 4;
-
-fn run_parallel(mode: Parallelism, items: usize) -> bool {
-    match mode {
-        Parallelism::Sequential => false,
-        Parallelism::Parallel => true,
-        Parallelism::Auto => {
-            !crate::datatype::auto_forced_sequential()
-                && items >= AUTO_PARALLEL_MIN_ITEMS
-                && rayon::current_num_threads() > 1
-        }
     }
 }
 
@@ -206,21 +186,8 @@ pub fn find_cycle_anomalies_frozen(
     history: &History,
     opts: CycleSearchOptions,
 ) -> Vec<Anomaly> {
-    find_cycle_anomalies_mode(deps, csr, history, opts, Parallelism::Auto)
-}
-
-/// [`find_cycle_anomalies_frozen`] with an explicit scheduling mode — the
-/// hook the parallel == sequential property tests drive. Output is
-/// byte-identical across modes by construction: candidate generation is
-/// pure and the merge is ordered.
-pub fn find_cycle_anomalies_mode(
-    deps: &DepGraph,
-    csr: &Csr,
-    history: &History,
-    opts: CycleSearchOptions,
-    mode: Parallelism,
-) -> Vec<Anomaly> {
     let plan = search_plan(opts);
+    let mut scratch = Scratch::new();
 
     // ── Phase 0: the early-acyclic certificate. One Tarjan pass under
     //    the union of every admitted class: if the graph is SCC-free
@@ -255,7 +222,6 @@ pub fn find_cycle_anomalies_mode(
         sccs
     };
     let cert: Option<(Vec<u32>, Vec<Vec<u32>>)> = if opts.certificate {
-        let mut scratch = Scratch::new();
         let sccs = canonical(csr.tarjan_scc(top, &mut scratch));
         if sccs.is_empty() {
             // Certified acyclic under every admitted class: skip all
@@ -269,70 +235,27 @@ pub fn find_cycle_anomalies_mode(
         None
     };
 
-    // ── Phase 1: SCCs per *distinct* admitted mask (parallel across
-    //    masks). Searches that admit the same classes — G-single and G2
-    //    within each level — share one Tarjan pass; the top-level mask
-    //    reuses the certificate's. ──────────────────────────────────────
-    let sccs_for = |m: EdgeMask, scratch: &mut Scratch| -> Vec<Vec<u32>> {
-        match &cert {
-            Some((_, cert_sccs)) if m == top => cert_sccs.clone(),
-            Some((region, _)) => canonical(csr.tarjan_scc_within(m, region, scratch)),
-            None => canonical(csr.tarjan_scc(m, scratch)),
-        }
-    };
-    let sccs_per_mask: Vec<Vec<Vec<u32>>> = if run_parallel(mode, masks.len()) {
-        masks
-            .par_iter()
-            .map_init(Scratch::new, |scratch, m| sccs_for(*m, scratch))
-            .collect()
-    } else {
-        let mut scratch = Scratch::new();
-        masks.iter().map(|m| sccs_for(*m, &mut scratch)).collect()
-    };
-
-    // ── Phase 2: flatten to (search, SCC) work items in merge order. ──
-    let items: Vec<(u32, Vec<u32>)> = plan
+    // ── Phase 1: SCCs per *distinct* admitted mask. Searches that admit
+    //    the same classes — G-single and G2 within each level — share
+    //    one Tarjan pass; the top-level mask reuses the certificate's. ─
+    let sccs_per_mask: Vec<Vec<Vec<u32>>> = masks
         .iter()
-        .enumerate()
-        .flat_map(|(i, _)| {
-            sccs_per_mask[mask_of[i]]
-                .iter()
-                .map(move |scc| (i as u32, scc.clone()))
+        .map(|&m| match &cert {
+            Some((_, cert_sccs)) if m == top => cert_sccs.clone(),
+            Some((region, _)) => canonical(csr.tarjan_scc_within(m, region, &mut scratch)),
+            None => canonical(csr.tarjan_scc(m, &mut scratch)),
         })
         .collect();
 
-    // ── Phase 3: candidate cycles per work item (parallel fan-out with
-    //    per-worker scratch reuse). ─────────────────────────────────────
-    let found: Vec<Vec<Vec<u32>>> = if run_parallel(mode, items.len()) {
-        items
-            .par_iter()
-            .map_init(Scratch::new, |scratch, (i, scc)| {
-                candidates(csr, plan[*i as usize], scc, opts.max_per_type, scratch)
-            })
-            .collect()
-    } else {
-        let mut scratch = Scratch::new();
-        items
-            .iter()
-            .map(|(i, scc)| {
-                candidates(csr, plan[*i as usize], scc, opts.max_per_type, &mut scratch)
-            })
-            .collect()
-    };
-
-    // ── Phase 4: strictly ordered sequential merge. ───────────────────
+    // ── Phase 2: candidate cycles per (search, SCC), merged strictly in
+    //    (level, class, SCC index, discovery order). ────────────────────
     let mut out: Vec<Anomaly> = Vec::new();
     let mut seen: FxHashSet<Vec<u32>> = FxHashSet::default();
-    for ((i, _), cycles) in items.iter().zip(&found) {
-        for cyc in cycles {
-            push_classified(
-                deps,
-                history,
-                cyc,
-                plan[*i as usize].allowed,
-                &mut seen,
-                &mut out,
-            );
+    for (i, search) in plan.iter().enumerate() {
+        for scc in &sccs_per_mask[mask_of[i]] {
+            for cyc in candidates(csr, *search, scc, opts.max_per_type, &mut scratch) {
+                push_classified(deps, history, &cyc, search.allowed, &mut seen, &mut out);
+            }
         }
     }
 

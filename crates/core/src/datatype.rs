@@ -10,21 +10,20 @@
 //! only its genuinely unique logic (list traceability, register
 //! version-order inference, set subset semantics).
 //!
-//! **Key-partitioned parallelism.** Everything after the cheap serial
+//! **Key-partitioned analysis.** Everything after the cheap serial
 //! passes is per-key independent: a key's element index, version
 //! order, and `wr`/`ww`/`rw` derivation never looks at another key.
-//! The driver therefore fans analysis out over keys on rayon and
-//! merges per-key sinks back **in sorted key order**, so the produced
-//! [`DepGraph`] and anomaly list are byte-identical to a sequential
-//! run — checked by `parallel_matches_sequential` in
-//! `crates/core/tests/datatype_props.rs`.
+//! The driver analyzes keys one at a time in **sorted key order** and
+//! merges their sinks in that same order, so the produced [`DepGraph`]
+//! and anomaly list are byte-stable for a given history — checked
+//! against the hash-map reference grouping (`analyze_keys_ref`) in
+//! `crates/core/tests/gather_props.rs`.
 
 use crate::anomaly::{Anomaly, AnomalyType, Witness};
 use crate::deps::DepGraph;
 use crate::gather::{GatherBuf, KeySlots};
 use crate::observation::{DataType, ElemIndex, WriteRef};
 use elle_history::{Elem, History, Key, Mop, Transaction, TxnId, TxnStatus};
-use rayon::prelude::*;
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::time::Instant;
 
@@ -90,8 +89,8 @@ impl<'h, C> AnalysisCtx<'h, C> {
 }
 
 /// Where one key's analysis deposits its findings. Sinks are merged by
-/// the driver in sorted key order, which is what keeps parallel runs
-/// deterministic.
+/// the driver in sorted key order, which is what keeps reports
+/// byte-stable.
 #[derive(Debug, Default)]
 pub struct KeySink {
     /// Non-cycle anomalies found for this key.
@@ -168,48 +167,21 @@ pub struct DriverOutput {
     pub gather: GatherStats,
 }
 
-/// How the driver schedules per-key analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Parallel when there are enough keys to plausibly pay for it.
-    Auto,
-    /// Always sequential (the reference mode property tests compare
-    /// against).
-    Sequential,
-    /// Always parallel, regardless of key count.
-    Parallel,
-}
-
-/// Keys below this count are analyzed inline under
-/// [`Parallelism::Auto`]; thread fan-out costs more than it saves.
-const AUTO_PARALLEL_MIN_KEYS: usize = 8;
-
-/// `ELLE_SEQUENTIAL=1` pins [`Parallelism::Auto`] to sequential — used
-/// to record before/after benchmark numbers and to bisect any
-/// parallelism-related suspicion without rebuilding. One knob covers
-/// every parallel stage: the per-key datatype pipeline here and the
-/// (SCC × anomaly class) cycle-search fan-out in
-/// [`crate::cycle_search`].
-pub(crate) fn auto_forced_sequential() -> bool {
-    static FORCED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var_os("ELLE_SEQUENTIAL").is_some_and(|v| v == "1"))
-}
-
 /// One datatype's contribution to the pipeline: the hooks the shared
 /// driver calls, in order.
 pub trait DatatypeAnalysis {
     /// Datatype-specific options ([`crate::RegisterOptions`] for
     /// registers, `()` elsewhere).
-    type Config: Copy + Sync;
+    type Config: Copy;
     /// Cross-key immutable auxiliary data built once per run (e.g. the
     /// per-transaction append index lists use for G1b).
-    type Aux<'h>: Sync;
+    type Aux<'h>;
     /// One per-key occurrence emitted during the gather scan. A key's
     /// occurrences arrive at [`DatatypeAnalysis::analyze_key`] as a
     /// contiguous slice in scan order — exactly the sequence the old
     /// per-key `Vec` pushes produced, so per-key folds are unchanged.
     /// `Copy` because grouping gathers occurrences out of place.
-    type Occ<'h>: Send + Sync + Copy;
+    type Occ<'h>: Copy;
 
     /// Which [`DataType`] this analysis owns.
     const DATATYPE: DataType;
@@ -236,8 +208,8 @@ pub trait DatatypeAnalysis {
     /// byte-identical across them).
     fn observed_elems(occs: &[Self::Occ<'_>]) -> Vec<Elem>;
 
-    /// Analyze one key from its gathered occurrence run. Runs on a
-    /// rayon worker; must only write into `sink`.
+    /// Analyze one key from its gathered occurrence run; must only
+    /// write into `sink`.
     fn analyze_key<'h>(
         cx: &AnalysisCtx<'h, Self::Config>,
         aux: &Self::Aux<'h>,
@@ -248,23 +220,12 @@ pub trait DatatypeAnalysis {
     );
 }
 
-/// Run a datatype's full pipeline with [`Parallelism::Auto`].
+/// Run a datatype's full pipeline.
 pub fn run<D: DatatypeAnalysis>(
     history: &History,
     elems: &ProvenanceIndex,
     keys: &[Key],
     config: D::Config,
-) -> DriverOutput {
-    run_mode::<D>(history, elems, keys, config, Parallelism::Auto)
-}
-
-/// Run a datatype's full pipeline with an explicit scheduling mode.
-pub fn run_mode<D: DatatypeAnalysis>(
-    history: &History,
-    elems: &ProvenanceIndex,
-    keys: &[Key],
-    config: D::Config,
-    mode: Parallelism,
 ) -> DriverOutput {
     let cx = AnalysisCtx {
         history,
@@ -284,8 +245,8 @@ pub fn run_mode<D: DatatypeAnalysis>(
     let (mut dup_anomalies, poisoned) = duplicate_anomalies(&cx, &D::VOCAB);
     out.anomalies.append(&mut dup_anomalies);
 
-    // ── Partition by key, analyze, and merge deterministically. ───────
-    let (pairs, gather) = analyze_keys::<D>(&cx, &poisoned, mode);
+    // ── Partition by key, analyze, and merge in key order. ────────────
+    let (pairs, gather) = analyze_keys::<D>(&cx, &poisoned);
     out.gather = gather;
     for (key, mut sink) in pairs {
         out.anomalies.append(&mut sink.anomalies);
@@ -363,7 +324,6 @@ pub fn duplicate_anomalies<C>(
 pub fn analyze_keys<D: DatatypeAnalysis>(
     cx: &AnalysisCtx<'_, D::Config>,
     poisoned: &FxHashSet<Key>,
-    mode: Parallelism,
 ) -> (Vec<(Key, KeySink)>, GatherStats) {
     let start = Instant::now();
     let mut buf = GatherBuf::new();
@@ -374,32 +334,18 @@ pub fn analyze_keys<D: DatatypeAnalysis>(
         secs: start.elapsed().as_secs_f64(),
         buf_bytes: buf_bytes.max(grouped.footprint_bytes()),
     };
-    let slots: Vec<u32> = grouped.occupied().collect();
-
-    let parallel = match mode {
-        Parallelism::Sequential => false,
-        Parallelism::Parallel => true,
-        Parallelism::Auto => slots.len() >= AUTO_PARALLEL_MIN_KEYS && !auto_forced_sequential(),
-    };
-    let analyze_one = |&slot: &u32| {
-        let key = cx.keys.key(slot);
-        let occs = grouped.run(slot);
-        let mut sink = KeySink {
-            observed_elems: D::observed_elems(occs),
-            ..KeySink::default()
-        };
-        D::analyze_key(cx, &aux, key, occs, poisoned.contains(&key), &mut sink);
-        sink
-    };
-    let sinks: Vec<KeySink> = if parallel {
-        slots.par_iter().map(analyze_one).collect()
-    } else {
-        slots.iter().map(analyze_one).collect()
-    };
-    let pairs = slots
-        .into_iter()
-        .map(|s| cx.keys.key(s))
-        .zip(sinks)
+    let pairs = grouped
+        .occupied()
+        .map(|slot| {
+            let key = cx.keys.key(slot);
+            let occs = grouped.run(slot);
+            let mut sink = KeySink {
+                observed_elems: D::observed_elems(occs),
+                ..KeySink::default()
+            };
+            D::analyze_key(cx, &aux, key, occs, poisoned.contains(&key), &mut sink);
+            (key, sink)
+        })
         .collect();
     (pairs, gather)
 }
@@ -408,12 +354,11 @@ pub fn analyze_keys<D: DatatypeAnalysis>(
 /// differential reference: identical `Occ` stream, but bucketed through
 /// `FxHashMap<Key, Vec<Occ>>` with an explicit key sort — the shape of
 /// the pre-flat gather. Property tests assert [`analyze_keys`] is
-/// byte-identical to this for every datatype and scheduling mode.
+/// byte-identical to this for every datatype.
 #[doc(hidden)]
 pub fn analyze_keys_ref<D: DatatypeAnalysis>(
     cx: &AnalysisCtx<'_, D::Config>,
     poisoned: &FxHashSet<Key>,
-    mode: Parallelism,
 ) -> Vec<(Key, KeySink)> {
     let mut buf = GatherBuf::new();
     let aux = D::gather(cx, &mut buf);
@@ -424,29 +369,18 @@ pub fn analyze_keys_ref<D: DatatypeAnalysis>(
     }
     let mut keys_sorted: Vec<Key> = data.keys().copied().collect();
     keys_sorted.sort_unstable();
-
-    let parallel = match mode {
-        Parallelism::Sequential => false,
-        Parallelism::Parallel => true,
-        Parallelism::Auto => {
-            keys_sorted.len() >= AUTO_PARALLEL_MIN_KEYS && !auto_forced_sequential()
-        }
-    };
-    let analyze_one = |key: &Key| {
-        let occs: &[D::Occ<'_>] = &data[key];
-        let mut sink = KeySink {
-            observed_elems: D::observed_elems(occs),
-            ..KeySink::default()
-        };
-        D::analyze_key(cx, &aux, *key, occs, poisoned.contains(key), &mut sink);
-        sink
-    };
-    let sinks: Vec<KeySink> = if parallel {
-        keys_sorted.par_iter().map(analyze_one).collect()
-    } else {
-        keys_sorted.iter().map(analyze_one).collect()
-    };
-    keys_sorted.into_iter().zip(sinks).collect()
+    keys_sorted
+        .into_iter()
+        .map(|key| {
+            let occs: &[D::Occ<'_>] = &data[&key];
+            let mut sink = KeySink {
+                observed_elems: D::observed_elems(occs),
+                ..KeySink::default()
+            };
+            D::analyze_key(cx, &aux, key, occs, poisoned.contains(&key), &mut sink);
+            (key, sink)
+        })
+        .collect()
 }
 
 // ── Shared passes ───────────────────────────────────────────────────────
@@ -786,10 +720,10 @@ mod tests {
     }
 
     #[test]
-    fn run_modes_agree_on_a_mixed_history() {
-        // Enough keys to clear the Auto threshold.
+    fn run_merges_keys_in_sorted_order() {
+        // Keys gathered in descending order still merge ascending.
         let mut b = HistoryBuilder::new();
-        for k in 0..16u64 {
+        for k in (0..16u64).rev() {
             b.txn(0).append(k, 2 * k + 1).commit();
             b.txn(1)
                 .append(k, 2 * k + 2)
@@ -799,27 +733,33 @@ mod tests {
         }
         let h = b.build();
         let elems = ElemIndex::build(&h);
-        let kt = KeyTypes::infer(&h);
-        let keys = kt.keys_of(DataType::List);
-        let seq = run_mode::<crate::list_append::ListAppend>(
-            &h,
-            &elems,
-            &keys,
-            (),
-            Parallelism::Sequential,
-        );
-        let par = run_mode::<crate::list_append::ListAppend>(
-            &h,
-            &elems,
-            &keys,
-            (),
-            Parallelism::Parallel,
-        );
-        assert_eq!(seq.anomalies, par.anomalies);
-        assert_eq!(seq.version_orders, par.version_orders);
-        assert_eq!(seq.deps.edge_count(), par.deps.edge_count());
-        for (a, b, m) in seq.deps.edges() {
-            assert_eq!(par.deps.edge_mask(a, b), m);
+        let keys = KeyTypes::infer(&h).keys_of(DataType::List);
+        let cx = AnalysisCtx {
+            history: &h,
+            elems: &elems,
+            keys: keys.iter().copied().collect(),
+            config: (),
+            scope: None,
+        };
+        let poisoned = FxHashSet::default();
+        let (pairs, _) = analyze_keys::<crate::list_append::ListAppend>(&cx, &poisoned);
+        let order: Vec<Key> = pairs.iter().map(|(k, _)| *k).collect();
+        assert_eq!(order, (0..16u64).map(Key).collect::<Vec<_>>());
+        let reference = analyze_keys_ref::<crate::list_append::ListAppend>(&cx, &poisoned);
+        for ((k, s), (rk, r)) in pairs.iter().zip(&reference) {
+            assert_eq!(k, rk);
+            assert_eq!(s.edges, r.edges);
+            assert_eq!(s.anomalies, r.anomalies);
+        }
+
+        let out = run::<crate::list_append::ListAppend>(&h, &elems, &keys, ());
+        let again = run::<crate::list_append::ListAppend>(&h, &elems, &keys, ());
+        assert_eq!(out.anomalies, again.anomalies);
+        assert_eq!(out.version_orders.len(), 16);
+        assert_eq!(out.version_orders, again.version_orders);
+        assert_eq!(out.deps.edge_count(), again.deps.edge_count());
+        for (a, b, m) in out.deps.edges() {
+            assert_eq!(again.deps.edge_mask(a, b), m);
         }
     }
 }

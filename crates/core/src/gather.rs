@@ -9,8 +9,8 @@
 //! a [`GatherBuf`] during its single history scan, and one stable
 //! counting sort groups them into contiguous per-key runs
 //! ([`Grouped`]). `analyze_keys` then hands every driver a `&[Occ]`
-//! slice; key-partitioned parallel sharding falls out of the sorted
-//! runs for free, and no `FxHashMap<Key, …>` remains on the hot path.
+//! slice in ascending key order, and no `FxHashMap<Key, …>` remains on
+//! the hot path.
 //!
 //! The counting-sort scratch comes from the thread-local buffer pool
 //! ([`crate::pool`]), so repeated runs — streaming epochs, benchmark

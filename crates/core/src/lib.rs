@@ -66,11 +66,8 @@ pub use checker::{
     assemble_report, panic_message, CheckOptions, CheckStats, Checker, InternalError, Report,
     StageTimings,
 };
-pub use cycle_search::{
-    find_cycle_anomalies, find_cycle_anomalies_frozen, find_cycle_anomalies_mode,
-    CycleSearchOptions,
-};
-pub use datatype::{DatatypeAnalysis, GatherStats, Parallelism, ProvenanceIndex};
+pub use cycle_search::{find_cycle_anomalies, find_cycle_anomalies_frozen, CycleSearchOptions};
+pub use datatype::{DatatypeAnalysis, GatherStats, ProvenanceIndex};
 pub use deps::DepGraph;
 pub use gather::{GatherBuf, Grouped, KeySlots};
 pub use models::{directly_violated, strongest_satisfiable, violated_models, ConsistencyModel};

@@ -1,14 +1,8 @@
 //! Property tests for the key-partitioned [`elle_core::datatype`]
-//! pipeline: the rayon-parallel run must be indistinguishable from a
-//! sequential reference pass — same anomaly multiset, same dependency
-//! edges, same version orders — on randomly generated histories of
-//! every datatype.
+//! pipeline, end to end: repeated checker runs over the same randomly
+//! generated history must produce identical reports.
 
-use elle_core::datatype::{run_mode, DriverOutput, Parallelism};
-use elle_core::list_append::ListAppend;
-use elle_core::rw_register::{RegisterOptions, RwRegister};
-use elle_core::set_add::SetAdd;
-use elle_core::{Anomaly, CheckOptions, Checker, DataType, KeyTypes, ProvenanceIndex};
+use elle_core::{CheckOptions, Checker};
 use elle_dbsim::{DbConfig, FaultPlan, IsolationLevel, ObjectKind};
 use elle_gen::{run_workload, GenParams};
 use elle_history::History;
@@ -52,81 +46,11 @@ fn arb_history(kind: ObjectKind) -> impl Strategy<Value = History> {
         })
 }
 
-/// Sort anomalies into a canonical multiset representation.
-fn multiset(anomalies: &[Anomaly]) -> Vec<(String, Vec<u32>, String)> {
-    let mut v: Vec<(String, Vec<u32>, String)> = anomalies
-        .iter()
-        .map(|a| {
-            (
-                format!("{:?}", a.typ),
-                a.txns.iter().map(|t| t.0).collect(),
-                a.explanation.clone(),
-            )
-        })
-        .collect();
-    v.sort();
-    v
-}
-
-fn assert_outputs_agree(seq: &DriverOutput, par: &DriverOutput) -> Result<(), String> {
-    // The driver merges in key order, so outputs must agree not just as
-    // multisets but in exact order.
-    prop_assert_eq!(&seq.anomalies, &par.anomalies);
-    prop_assert_eq!(multiset(&seq.anomalies), multiset(&par.anomalies));
-    prop_assert_eq!(&seq.version_orders, &par.version_orders);
-    prop_assert_eq!(&seq.cyclic_keys, &par.cyclic_keys);
-    prop_assert_eq!(
-        seq.deps.edge_count(),
-        par.deps.edge_count(),
-        "edge counts diverge"
-    );
-    for (a, b, m) in seq.deps.edges() {
-        prop_assert_eq!(par.deps.edge_mask(a, b), m, "edge {} -> {}", a, b);
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    #[test]
-    fn list_append_parallel_matches_sequential(h in arb_history(ObjectKind::ListAppend)) {
-        let elems = ProvenanceIndex::build(&h);
-        let keys = KeyTypes::infer(&h).keys_of(DataType::List);
-        let seq = run_mode::<ListAppend>(&h, &elems, &keys, (), Parallelism::Sequential);
-        let par = run_mode::<ListAppend>(&h, &elems, &keys, (), Parallelism::Parallel);
-        assert_outputs_agree(&seq, &par)?;
-    }
-
-    #[test]
-    fn register_parallel_matches_sequential(
-        h in arb_history(ObjectKind::Register),
-        sequential_keys in prop::bool::ANY,
-        linearizable_keys in prop::bool::ANY,
-    ) {
-        let elems = ProvenanceIndex::build(&h);
-        let keys = KeyTypes::infer(&h).keys_of(DataType::Register);
-        let opts = RegisterOptions {
-            sequential_keys,
-            linearizable_keys,
-            ..RegisterOptions::default()
-        };
-        let seq = run_mode::<RwRegister>(&h, &elems, &keys, opts, Parallelism::Sequential);
-        let par = run_mode::<RwRegister>(&h, &elems, &keys, opts, Parallelism::Parallel);
-        assert_outputs_agree(&seq, &par)?;
-    }
-
-    #[test]
-    fn set_parallel_matches_sequential(h in arb_history(ObjectKind::Set)) {
-        let elems = ProvenanceIndex::build(&h);
-        let keys = KeyTypes::infer(&h).keys_of(DataType::Set);
-        let seq = run_mode::<SetAdd>(&h, &elems, &keys, (), Parallelism::Sequential);
-        let par = run_mode::<SetAdd>(&h, &elems, &keys, (), Parallelism::Parallel);
-        assert_outputs_agree(&seq, &par)?;
-    }
-
     /// End to end: two full checker runs over the same history produce
-    /// byte-identical reports despite the rayon fan-out inside.
+    /// byte-identical reports.
     #[test]
     fn checker_reports_are_stable(h in arb_history(ObjectKind::ListAppend)) {
         let opts = CheckOptions::strict_serializable();

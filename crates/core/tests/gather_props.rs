@@ -7,14 +7,13 @@
 //! same occurrence stream): same key order, same anomaly vector
 //! (explanation strings included), same edges and witnesses, same
 //! version orders, cyclic flags, and observed elements — for all four
-//! datatypes and both scheduling modes. The streaming side of the
+//! datatypes. The streaming side of the
 //! differential (flat gather under random epoch splits == batch on
 //! every prefix) lives in `crates/stream/tests/stream_props.rs`.
 
 use elle_core::counter;
 use elle_core::datatype::{
     analyze_keys, analyze_keys_ref, duplicate_anomalies, AnalysisCtx, DatatypeAnalysis, KeySink,
-    Parallelism,
 };
 use elle_core::list_append::ListAppend;
 use elle_core::rw_register::{RegisterOptions, RwRegister};
@@ -89,7 +88,7 @@ fn assert_sinks_identical(new: &[(Key, KeySink)], seed: &[(Key, KeySink)]) -> Re
     Ok(())
 }
 
-/// Run one datatype through both pipelines in both scheduling modes.
+/// Run one datatype through both pipelines.
 fn assert_flat_matches_ref<D: DatatypeAnalysis>(
     h: &History,
     config: D::Config,
@@ -104,11 +103,9 @@ fn assert_flat_matches_ref<D: DatatypeAnalysis>(
         scope: None,
     };
     let (_, poisoned) = duplicate_anomalies(&cx, &D::VOCAB);
-    for mode in [Parallelism::Sequential, Parallelism::Parallel] {
-        let (new, _gather) = analyze_keys::<D>(&cx, &poisoned, mode);
-        let seed = analyze_keys_ref::<D>(&cx, &poisoned, mode);
-        assert_sinks_identical(&new, &seed)?;
-    }
+    let (new, _gather) = analyze_keys::<D>(&cx, &poisoned);
+    let seed = analyze_keys_ref::<D>(&cx, &poisoned);
+    assert_sinks_identical(&new, &seed)?;
     Ok(())
 }
 

@@ -5,9 +5,9 @@
 //! preserved seed per-read pipeline (`elle_core::reference`): same
 //! anomaly vector (order and explanation strings included), same
 //! version orders, same cyclic keys, same dependency edges and
-//! witnesses, in both sequential and parallel scheduling.
+//! witnesses.
 
-use elle_core::datatype::{run_mode, DriverOutput, Parallelism};
+use elle_core::datatype::{run, DriverOutput};
 use elle_core::list_append::ListAppend;
 use elle_core::reference::{ListAppendRef, RwRegisterRef, SetAddRef};
 use elle_core::rw_register::{RegisterOptions, RwRegister};
@@ -88,22 +88,18 @@ proptest! {
     fn list_interned_matches_seed(h in arb_history(ObjectKind::ListAppend)) {
         let elems = ProvenanceIndex::build(&h);
         let keys = KeyTypes::infer(&h).keys_of(DataType::List);
-        for mode in [Parallelism::Sequential, Parallelism::Parallel] {
-            let new = run_mode::<ListAppend>(&h, &elems, &keys, (), mode);
-            let seed = run_mode::<ListAppendRef>(&h, &elems, &keys, (), mode);
-            assert_byte_identical(&new, &seed)?;
-        }
+        let new = run::<ListAppend>(&h, &elems, &keys, ());
+        let seed = run::<ListAppendRef>(&h, &elems, &keys, ());
+        assert_byte_identical(&new, &seed)?;
     }
 
     #[test]
     fn set_interned_matches_seed(h in arb_history(ObjectKind::Set)) {
         let elems = ProvenanceIndex::build(&h);
         let keys = KeyTypes::infer(&h).keys_of(DataType::Set);
-        for mode in [Parallelism::Sequential, Parallelism::Parallel] {
-            let new = run_mode::<SetAdd>(&h, &elems, &keys, (), mode);
-            let seed = run_mode::<SetAddRef>(&h, &elems, &keys, (), mode);
-            assert_byte_identical(&new, &seed)?;
-        }
+        let new = run::<SetAdd>(&h, &elems, &keys, ());
+        let seed = run::<SetAddRef>(&h, &elems, &keys, ());
+        assert_byte_identical(&new, &seed)?;
     }
 
     #[test]
@@ -119,18 +115,14 @@ proptest! {
             linearizable_keys,
             ..RegisterOptions::default()
         };
-        for mode in [Parallelism::Sequential, Parallelism::Parallel] {
-            let new = run_mode::<RwRegister>(&h, &elems, &keys, opts, mode);
-            let seed = run_mode::<RwRegisterRef>(&h, &elems, &keys, opts, mode);
-            assert_byte_identical(&new, &seed)?;
-        }
+        let new = run::<RwRegister>(&h, &elems, &keys, opts);
+        let seed = run::<RwRegisterRef>(&h, &elems, &keys, opts);
+        assert_byte_identical(&new, &seed)?;
     }
 
     /// End to end: the full checker report (anomalies, counts, models,
     /// stats) serializes to the same JSON bytes through the interned
-    /// pipeline as through the seed per-read pipeline. Runs under
-    /// whatever scheduling `ELLE_SEQUENTIAL` pins, so the CI matrix
-    /// exercises both.
+    /// pipeline as through the seed per-read pipeline.
     #[test]
     fn checker_reports_byte_identical(
         h in arb_history(ObjectKind::ListAppend),

@@ -48,7 +48,6 @@
 use elle_core::counter;
 use elle_core::datatype::{
     self, analyze_keys, duplicate_anomalies, AnalysisCtx, DatatypeAnalysis, GatherStats, KeySink,
-    Parallelism,
 };
 use elle_core::AnomalyType;
 use elle_core::{
@@ -2127,7 +2126,7 @@ fn refresh_dt<D: DatatypeAnalysis>(
     };
     let mut retraction = false;
     let mut delta_edges: Vec<Edge> = Vec::new();
-    let (pairs, gather_stats) = analyze_keys::<D>(&cx, &poisoned, Parallelism::Auto);
+    let (pairs, gather_stats) = analyze_keys::<D>(&cx, &poisoned);
     gather.absorb(gather_stats);
     for (key, sink) in pairs {
         for &e in &sink.observed_elems {

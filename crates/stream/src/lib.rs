@@ -23,9 +23,9 @@
 //!
 //! At every epoch boundary the report is **byte-for-byte identical** to
 //! [`Checker::check`](elle_core::Checker::check) on the prefix ingested
-//! so far, in both parallel and `ELLE_SEQUENTIAL=1` modes — enforced by
-//! the differential property tests in `crates/stream/tests/`, which
-//! replay randomly generated histories under random epoch splits.
+//! so far — enforced by the differential property tests in
+//! `crates/stream/tests/`, which replay randomly generated histories
+//! under random epoch splits.
 //!
 //! ## The frontier-state contract
 //!

@@ -2,9 +2,7 @@
 //! checker's report must serialize to exactly the same JSON bytes as
 //! the batch checker run over the prefix ingested so far. Histories are
 //! generated across isolation levels, object kinds, and fault plans;
-//! epoch boundaries are arbitrary event positions. The CI matrix runs
-//! this suite in both scheduling modes (parallel and
-//! `ELLE_SEQUENTIAL=1`), so the differential is enforced for both.
+//! epoch boundaries are arbitrary event positions.
 
 use elle_core::{CheckOptions, Checker};
 use elle_dbsim::{DbConfig, FaultPlan, IsolationLevel, ObjectKind};
