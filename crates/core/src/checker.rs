@@ -2,7 +2,7 @@
 //! the IDSG, runs cycle search, and reasons about consistency models.
 
 use crate::anomaly::{Anomaly, AnomalyType};
-use crate::counter;
+use crate::counter::Counter;
 use crate::cycle_search::{find_cycle_anomalies_frozen, CycleSearchOptions};
 use crate::datatype;
 use crate::deps::DepGraph;
@@ -536,10 +536,11 @@ impl Checker {
         }
         let counter_keys = kt.keys_of(DataType::Counter);
         if !counter_keys.is_empty() {
-            let a = counter::analyze(history, &counter_keys);
-            anomalies.extend(a.anomalies);
-            gather.absorb(a.gather);
-            absorb(&mut deps, a.deps);
+            let out = datatype::run::<Counter>(history, &elems, &counter_keys, ());
+            anomalies.extend(out.anomalies);
+            observed.extend(out.observed);
+            gather.absorb(out.gather);
+            absorb(&mut deps, out.deps);
         }
         // The gather scans ran inside the datatype drivers; split their
         // share out of the inference lap so both stages read true.

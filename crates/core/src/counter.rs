@@ -11,30 +11,24 @@
 //! * **internal consistency**: within one transaction, a read must equal
 //!   the previous read plus the transaction's own increments since.
 //!
-//! Like the recoverable datatypes, the analysis is split into a
-//! transaction-major internal pass, a **gather** phase partitioning the
-//! (scoped) transactions by key, and a per-key **finalize** — so the
-//! streaming checker can re-analyze only the keys an epoch touched and
-//! cache everything else.
+//! That is a smaller contribution to the same [`DatatypeAnalysis`]
+//! pipeline the other datatypes use: the shared internal pass, a flat
+//! gather, and a per-key pass — so the batch and streaming drivers
+//! handle counters with the same generic calls. Counters have no
+//! element-carrying writes, hence no duplicate-write or coverage
+//! contribution.
+//!
+//! Increments and read values are external input, so their arithmetic
+//! never wraps: the reachable bound saturates, and an internal
+//! expectation that overflows is not checked.
 
-use crate::anomaly::{Anomaly, AnomalyType, Witness};
-use crate::datatype::GatherStats;
-use crate::deps::DepGraph;
-use crate::gather::{GatherBuf, KeySlots};
-use elle_history::{History, Key, Mop, ReadValue, TxnId, TxnStatus};
-use rustc_hash::FxHashMap;
-use std::time::Instant;
-
-/// Result of the counter analysis.
-#[derive(Debug, Default)]
-pub struct CounterAnalysis {
-    /// Inferred dependency edges (`rr` only).
-    pub deps: DepGraph,
-    /// Non-cycle anomalies.
-    pub anomalies: Vec<Anomaly>,
-    /// Gather-phase cost (time + peak flat-buffer bytes).
-    pub gather: GatherStats,
-}
+use crate::anomaly::{AnomalyType, Witness};
+use crate::datatype::{
+    internal_pass, AnalysisCtx, DatatypeAnalysis, InternalMismatch, KeySink, Vocab,
+};
+use crate::gather::GatherBuf;
+use crate::observation::DataType;
+use elle_history::{Elem, Key, Mop, ReadValue, TxnId, TxnStatus};
 
 /// One counter-key event from the flat gather scan.
 #[derive(Debug, Clone, Copy)]
@@ -51,223 +45,158 @@ pub enum CounterOcc {
     Read(TxnId, i64),
 }
 
-/// Everything the per-key pass needs about one counter key.
-#[derive(Debug)]
-pub struct CounterKeyData {
-    /// Every increment so far was strictly positive.
-    all_positive: bool,
-    /// Sum of positive increments by may-have-committed transactions.
-    max_sum: i64,
-    /// Committed reads `(txn, value)`, in invocation order.
-    reads: Vec<(TxnId, i64)>,
-}
+/// Increment counters: bounds-checked reads ordered by value.
+pub struct Counter;
 
-impl Default for CounterKeyData {
-    fn default() -> Self {
-        CounterKeyData {
-            // Vacuously true until a non-positive increment shows up.
-            all_positive: true,
-            max_sum: 0,
-            reads: Vec::new(),
-        }
-    }
-}
+impl DatatypeAnalysis for Counter {
+    type Config = ();
+    type Aux<'h> = ();
+    type Occ<'h> = CounterOcc;
 
-impl CounterKeyData {
-    /// Fold one key's occurrence run into the per-key aggregate —
-    /// byte-identical to what the retained hash-map gather accumulated.
-    pub fn from_occs(occs: &[CounterOcc]) -> Self {
-        let mut d = CounterKeyData::default();
-        for occ in occs {
-            match occ {
-                CounterOcc::Inc { amount, may_commit } => {
-                    d.all_positive = d.all_positive && *amount > 0;
-                    if *may_commit && *amount > 0 {
-                        d.max_sum += amount;
-                    }
-                }
-                CounterOcc::Read(t, v) => d.reads.push((*t, *v)),
-            }
-        }
-        d
-    }
-}
-
-/// Scan the given transactions' counter operations into the flat gather
-/// buffer, one `(slot, occurrence)` tuple per relevant micro-op.
-pub fn gather<'h>(
-    txns: impl Iterator<Item = &'h elle_history::Transaction>,
-    keys: &KeySlots,
-    buf: &mut GatherBuf<CounterOcc>,
-) {
-    for t in txns {
-        for m in &t.mops {
-            match m {
-                Mop::Increment { key, amount } => {
-                    if let Some(slot) = keys.slot_of(*key) {
-                        buf.push(
-                            slot,
-                            CounterOcc::Inc {
-                                amount: *amount,
-                                may_commit: t.status.may_have_committed(),
-                            },
-                        );
-                    }
-                }
-                Mop::Read {
-                    key,
-                    value: Some(ReadValue::Counter(v)),
-                } if t.status == TxnStatus::Committed => {
-                    if let Some(slot) = keys.slot_of(*key) {
-                        buf.push(slot, CounterOcc::Read(t.id, *v));
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-}
-
-/// Analyze one counter key: bounds-check its reads and derive the `rr`
-/// chain. Returns `(anomalies, edges)` in emission order.
-pub fn analyze_key(
-    history: &History,
-    key: Key,
-    data: &CounterKeyData,
-) -> (Vec<Anomaly>, Vec<(TxnId, TxnId, Witness)>) {
-    let mut anomalies = Vec::new();
-    let mut edges = Vec::new();
-    if data.reads.is_empty() {
-        return (anomalies, edges);
-    }
-    if !data.all_positive {
-        // Mixed-sign increments: no ordering or bounds inference.
-        return (anomalies, edges);
-    }
-    let bound = data.max_sum;
-    let mut reads = data.reads.clone();
-    for (t, v) in &reads {
-        if *v < 0 || *v > bound {
-            anomalies.push(Anomaly {
-                typ: AnomalyType::GarbageRead,
-                txns: vec![*t],
-                key: Some(key),
-                steps: vec![],
-                explanation: format!(
-                    "{}\n  read {v} of counter {key}, outside the reachable range \
-                     [0, {bound}]",
-                    history.get(*t).to_notation()
-                ),
-            });
-        }
-    }
-    // rr chain over distinct observed values.
-    reads.sort_by_key(|(_, v)| *v);
-    reads.dedup();
-    for w in reads.windows(2) {
-        let ((ta, va), (tb, vb)) = (w[0], w[1]);
-        if va < vb && ta != tb {
-            edges.push((ta, tb, Witness::Rr { key }));
-        }
-    }
-    (anomalies, edges)
-}
-
-/// Run the analysis over the counter keys.
-pub fn analyze(history: &History, counter_keys: &[Key]) -> CounterAnalysis {
-    let mut out = CounterAnalysis {
-        deps: DepGraph::with_txns(history.len()),
-        ..Default::default()
+    const DATATYPE: DataType = DataType::Counter;
+    const VOCAB: Vocab = Vocab {
+        object: "counter",
+        item: "value",
+        wrote: "incremented",
+        written: "incremented",
+        wrote_to: "incremented",
+        rmw: "incremented",
+        garbage_per_reader: true,
+        element_writes: false,
     };
-    let keys: KeySlots = counter_keys.iter().copied().collect();
 
-    out.anomalies
-        .append(&mut internal_anomalies(history.txns().iter(), &keys));
-
-    let start = Instant::now();
-    // `CounterOcc` is `'static` (it carries no history references), so
-    // the items side recycles through the typed buffer pool.
-    let mut buf = GatherBuf::new_pooled();
-    gather(history.txns().iter(), &keys, &mut buf);
-    let buf_bytes = buf.footprint_bytes();
-    let grouped = buf.group_pooled(keys.len());
-    out.gather = GatherStats {
-        secs: start.elapsed().as_secs_f64(),
-        buf_bytes: buf_bytes.max(grouped.footprint_bytes()),
-    };
-    for slot in grouped.occupied() {
-        let key = keys.key(slot);
-        let data = CounterKeyData::from_occs(grouped.run(slot));
-        let (mut anomalies, edges) = analyze_key(history, key, &data);
-        out.anomalies.append(&mut anomalies);
-        for (a, b, w) in edges {
-            out.deps.add(a, b, w);
+    /// Internal consistency: a read must equal the previous read plus
+    /// the transaction's own increments since. The state is the value
+    /// the next read must return — unknown before the first read and
+    /// after an increment overflows.
+    fn check_internal(cx: &AnalysisCtx<'_, ()>, sink: &mut KeySink) {
+        #[derive(Default)]
+        struct St {
+            expected: Option<i64>,
         }
+        internal_pass(cx, sink, |_t, m, key, st: &mut St| match m {
+            Mop::Increment { amount, .. } => {
+                st.expected = st.expected.and_then(|e| e.checked_add(*amount));
+                None
+            }
+            Mop::Read {
+                value: Some(ReadValue::Counter(v)),
+                ..
+            } => {
+                let mismatch = st.expected.filter(|e| e != v).map(|e| InternalMismatch {
+                    message: format!("read {v} of counter {key}, but prior operations imply {e}"),
+                });
+                st.expected = Some(*v);
+                mismatch
+            }
+            _ => None,
+        });
     }
-    grouped.recycle();
-    out.deps.build();
-    out
-}
 
-/// Internal consistency: read = previous read + own increments since.
-/// Transaction-major over the given scope, so the streaming checker can
-/// run it on just an epoch's new transactions.
-pub fn internal_anomalies<'h>(
-    txns: impl Iterator<Item = &'h elle_history::Transaction>,
-    keys: &KeySlots,
-) -> Vec<Anomaly> {
-    let mut out = Vec::new();
-    for t in txns {
-        let mut base: FxHashMap<Key, i64> = FxHashMap::default(); // last read
-        let mut delta: FxHashMap<Key, i64> = FxHashMap::default(); // own incs since
-        for m in &t.mops {
-            match m {
-                Mop::Increment { key, amount } if keys.contains(*key) => {
-                    *delta.entry(*key).or_insert(0) += amount;
-                }
-                Mop::Read {
-                    key,
-                    value: Some(ReadValue::Counter(v)),
-                } if keys.contains(*key) => {
-                    if let Some(prev) = base.get(key) {
-                        let expected = prev + delta.get(key).copied().unwrap_or(0);
-                        if *v != expected {
-                            out.push(Anomaly {
-                                typ: AnomalyType::Internal,
-                                txns: vec![t.id],
-                                key: Some(*key),
-                                steps: vec![],
-                                explanation: format!(
-                                    "{}\n  read {v} of counter {key}, but prior operations \
-                                     imply {expected}",
-                                    t.to_notation()
-                                ),
-                            });
+    fn gather<'h>(cx: &AnalysisCtx<'h, ()>, buf: &mut GatherBuf<CounterOcc>) {
+        for t in cx.scoped_txns() {
+            for m in &t.mops {
+                match m {
+                    Mop::Increment { key, amount } => {
+                        if let Some(slot) = cx.keys.slot_of(*key) {
+                            buf.push(
+                                slot,
+                                CounterOcc::Inc {
+                                    amount: *amount,
+                                    may_commit: t.status.may_have_committed(),
+                                },
+                            );
                         }
                     }
-                    base.insert(*key, *v);
-                    delta.insert(*key, 0);
+                    Mop::Read {
+                        key,
+                        value: Some(ReadValue::Counter(v)),
+                    } if t.status == TxnStatus::Committed => {
+                        if let Some(slot) = cx.keys.slot_of(*key) {
+                            buf.push(slot, CounterOcc::Read(t.id, *v));
+                        }
+                    }
+                    _ => {}
                 }
-                _ => {}
             }
         }
     }
-    out
+
+    fn observed_elems(_occs: &[CounterOcc]) -> Vec<Elem> {
+        Vec::new()
+    }
+
+    /// Bounds-check the key's committed reads and derive the `rr`
+    /// chain over their distinct values.
+    fn analyze_key<'h>(
+        cx: &AnalysisCtx<'h, ()>,
+        _aux: &(),
+        key: Key,
+        occs: &[CounterOcc],
+        _poisoned: bool,
+        sink: &mut KeySink,
+    ) {
+        // Vacuously true until a non-positive increment shows up.
+        let mut all_positive = true;
+        // Sum of positive increments by may-have-committed transactions.
+        let mut bound = 0i64;
+        // Committed reads `(txn, value)`, in invocation order.
+        let mut reads: Vec<(TxnId, i64)> = Vec::new();
+        for occ in occs {
+            match *occ {
+                CounterOcc::Inc { amount, may_commit } => {
+                    all_positive = all_positive && amount > 0;
+                    if may_commit && amount > 0 {
+                        bound = bound.saturating_add(amount);
+                    }
+                }
+                CounterOcc::Read(t, v) => reads.push((t, v)),
+            }
+        }
+        if reads.is_empty() || !all_positive {
+            // Mixed-sign increments: no ordering or bounds inference.
+            return;
+        }
+        for &(t, v) in &reads {
+            if v < 0 || v > bound {
+                sink.anomaly(
+                    AnomalyType::GarbageRead,
+                    vec![t],
+                    key,
+                    format!(
+                        "{}\n  read {v} of counter {key}, outside the reachable range \
+                         [0, {bound}]",
+                        cx.history.get(t).to_notation()
+                    ),
+                );
+            }
+        }
+        // rr chain over distinct observed values.
+        reads.sort_by_key(|&(_, v)| v);
+        reads.dedup();
+        for w in reads.windows(2) {
+            let ((ta, va), (tb, vb)) = (w[0], w[1]);
+            if va < vb && ta != tb {
+                sink.edge(ta, tb, Witness::Rr { key });
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observation::{DataType, KeyTypes};
+    use crate::datatype::{self, DriverOutput};
+    use crate::observation::{ElemIndex, KeyTypes};
     use elle_graph::EdgeClass;
-    use elle_history::HistoryBuilder;
+    use elle_history::{History, HistoryBuilder};
 
-    fn run(h: &History) -> CounterAnalysis {
-        let kt = KeyTypes::infer(h);
-        analyze(h, &kt.keys_of(DataType::Counter))
+    fn run(h: &History) -> DriverOutput {
+        let keys = KeyTypes::infer(h).keys_of(DataType::Counter);
+        datatype::run::<Counter>(h, &ElemIndex::build(h), &keys, ())
     }
 
-    fn types(a: &CounterAnalysis) -> Vec<AnomalyType> {
+    fn types(a: &DriverOutput) -> Vec<AnomalyType> {
         let mut t: Vec<AnomalyType> = a.anomalies.iter().map(|x| x.typ).collect();
         t.sort_unstable();
         t.dedup();
@@ -344,6 +273,47 @@ mod tests {
             .read_counter(1, 2)
             .commit();
         let a = run(&b.build());
+        assert!(a.anomalies.is_empty(), "{:?}", a.anomalies);
+    }
+
+    #[test]
+    fn reachable_bound_saturates_instead_of_wrapping() {
+        // Two maximal increments exceed i64; a wrapped bound (-2) would
+        // turn the in-range read of 5 into a garbage read.
+        let mut b = HistoryBuilder::new();
+        b.txn(0).increment(1, i64::MAX).commit();
+        b.txn(1).increment(1, i64::MAX).commit();
+        b.txn(2).read_counter(1, 5).commit();
+        let a = run(&b.build());
+        assert!(a.anomalies.is_empty(), "{:?}", a.anomalies);
+    }
+
+    #[test]
+    fn overflowing_internal_expectation_is_not_checked() {
+        // The expected value i64::MAX + 1 is not representable, so the
+        // read cannot be shown inconsistent.
+        let mut b = HistoryBuilder::new();
+        b.txn(0)
+            .read_counter(1, i64::MAX)
+            .increment(1, 1)
+            .read_counter(1, 0)
+            .commit();
+        let a = run(&b.build());
+        assert!(!types(&a).contains(&AnomalyType::Internal), "{a:?}");
+    }
+
+    #[test]
+    fn conflicted_key_reports_no_foreign_duplicates() {
+        // Key 1 is typed a counter (counter and set usage conflict); the
+        // duplicated set add is not a counter write.
+        let mut b = HistoryBuilder::new();
+        b.txn(0).increment(1, 1).commit();
+        b.txn(1).add_to_set(1, 5).commit();
+        b.txn(2).add_to_set(1, 5).commit();
+        let h = b.build();
+        assert_eq!(KeyTypes::infer(&h).get(Key(1)), Some(DataType::Counter));
+        assert_eq!(ElemIndex::build(&h).duplicates.len(), 1);
+        let a = run(&h);
         assert!(a.anomalies.is_empty(), "{:?}", a.anomalies);
     }
 }

@@ -1,14 +1,15 @@
 //! The shared per-datatype analysis pipeline.
 //!
-//! The three recoverable datatypes (append-only lists, read-write
-//! registers, grow-only sets) used to carry near-identical copies of
-//! the same passes: write-level duplicate detection, per-read
-//! provenance checks (garbage reads, G1a aborted reads), internal
-//! consistency scaffolding, lost-update grouping, and the assembly of
-//! per-key results into a [`DepGraph`]. This module owns those passes
-//! once; each datatype implements [`DatatypeAnalysis`] and contributes
-//! only its genuinely unique logic (list traceability, register
-//! version-order inference, set subset semantics).
+//! Every datatype — append-only lists, read-write registers, grow-only
+//! sets and increment counters — goes through the same passes:
+//! write-level duplicate detection, per-read provenance checks (garbage
+//! reads, G1a aborted reads), internal consistency scaffolding,
+//! lost-update grouping, and the assembly of per-key results into a
+//! [`DepGraph`]. This module owns those passes once; each datatype
+//! implements [`DatatypeAnalysis`] and contributes only its genuinely
+//! unique logic (list traceability, register version-order inference,
+//! set subset semantics). Counters are the least informative: they
+//! contribute only a bounds check and `rr` ordering by value.
 //!
 //! **Key-partitioned analysis.** Everything after the cheap serial
 //! passes is per-key independent: a key's element index, version
@@ -53,6 +54,11 @@ pub struct Vocab {
     /// Report garbage once per reader (`true`) or once per element
     /// (`false`, the list convention).
     pub garbage_per_reader: bool,
+    /// Whether writes name an element. `false` for counters: an
+    /// increment carries none, so write-level duplicate detection does
+    /// not apply (the element index could only hold another datatype's
+    /// writes on a conflicted key).
+    pub element_writes: bool,
 }
 
 /// Shared read-only context handed to every pass of one datatype run.
@@ -171,7 +177,7 @@ pub struct DriverOutput {
 /// driver calls, in order.
 pub trait DatatypeAnalysis {
     /// Datatype-specific options ([`crate::RegisterOptions`] for
-    /// registers, `()` elsewhere).
+    /// registers, `()` for lists, sets and counters).
     type Config: Copy;
     /// Cross-key immutable auxiliary data built once per run (e.g. the
     /// per-transaction append index lists use for G1b).
@@ -287,6 +293,9 @@ pub fn duplicate_anomalies<C>(
 ) -> (Vec<Anomaly>, FxHashSet<Key>) {
     let mut anomalies = Vec::new();
     let mut poisoned: FxHashSet<Key> = FxHashSet::default();
+    if !v.element_writes {
+        return (anomalies, poisoned);
+    }
     for (k, e, txns) in &cx.elems.duplicates {
         if !cx.keys.contains(*k) {
             continue;

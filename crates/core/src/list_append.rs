@@ -296,6 +296,7 @@ impl DatatypeAnalysis for ListAppend {
         wrote_to: "appended to",
         rmw: "appended to",
         garbage_per_reader: false,
+        element_writes: true,
     };
 
     /// Internal consistency (§6.1): each transaction's reads must agree

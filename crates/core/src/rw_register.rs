@@ -221,6 +221,7 @@ impl DatatypeAnalysis for RwRegister {
         wrote_to: "written to",
         rmw: "wrote",
         garbage_per_reader: true,
+        element_writes: true,
     };
 
     /// Internal consistency: within one transaction, a read must return

@@ -108,6 +108,7 @@ impl DatatypeAnalysis for SetAdd {
         wrote_to: "added to",
         rmw: "added to",
         garbage_per_reader: true,
+        element_writes: true,
     };
 
     /// Internal consistency: a read must contain everything the

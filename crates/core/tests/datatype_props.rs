@@ -8,8 +8,14 @@ use elle_gen::{run_workload, GenParams};
 use elle_history::History;
 use proptest::prelude::*;
 
-fn arb_history(kind: ObjectKind) -> impl Strategy<Value = History> {
+fn arb_history() -> impl Strategy<Value = History> {
     (
+        prop_oneof![
+            Just(ObjectKind::ListAppend),
+            Just(ObjectKind::Register),
+            Just(ObjectKind::Set),
+            Just(ObjectKind::Counter),
+        ],
         any::<u64>(),  // seed
         1usize..=6,    // processes
         40usize..=120, // txns
@@ -22,7 +28,7 @@ fn arb_history(kind: ObjectKind) -> impl Strategy<Value = History> {
         ],
         prop::bool::ANY, // faults
     )
-        .prop_map(move |(seed, procs, n, keys, iso, faults)| {
+        .prop_map(|(kind, seed, procs, n, keys, iso, faults)| {
             let params = GenParams {
                 n_txns: n,
                 min_txn_len: 1,
@@ -50,9 +56,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// End to end: two full checker runs over the same history produce
-    /// byte-identical reports.
+    /// byte-identical reports, for every datatype.
     #[test]
-    fn checker_reports_are_stable(h in arb_history(ObjectKind::ListAppend)) {
+    fn checker_reports_are_stable(h in arb_history()) {
         let opts = CheckOptions::strict_serializable();
         let r1 = Checker::new(opts).check(&h);
         let r2 = Checker::new(opts).check(&h);

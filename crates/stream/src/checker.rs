@@ -45,15 +45,18 @@
 //! Database-timestamp edges are appended likewise while commit
 //! timestamps arrive in order, and trigger a rebuild when they do not.
 
-use elle_core::counter;
+use elle_core::counter::Counter;
 use elle_core::datatype::{
     self, analyze_keys, duplicate_anomalies, AnalysisCtx, DatatypeAnalysis, GatherStats, KeySink,
 };
+use elle_core::list_append::ListAppend;
+use elle_core::rw_register::RwRegister;
+use elle_core::set_add::SetAdd;
 use elle_core::AnomalyType;
 use elle_core::{
     assemble_report, find_cycle_anomalies_frozen, Anomaly, CheckOptions, CheckStats,
-    CycleSearchOptions, DataType, DepGraph, ElemIndex, GatherBuf, KeySlots, KeyTypes, Report,
-    StageTimings, Witness,
+    CycleSearchOptions, DataType, DepGraph, ElemIndex, KeySlots, KeyTypes, Report, StageTimings,
+    Witness,
 };
 use elle_graph::{EdgeMask, Scratch};
 use elle_history::{
@@ -159,15 +162,6 @@ impl DtCache {
             || !self.retired_dups.is_empty()
             || !self.retired_sinks.is_empty()
     }
-}
-
-/// Counter analysis cache (the counter pipeline is not trait-driven).
-#[derive(Debug, Default)]
-struct CounterCache {
-    internal: BTreeMap<TxnId, Vec<Arc<Anomaly>>>,
-    sinks: BTreeMap<Key, (Vec<Arc<Anomaly>>, Vec<Edge>)>,
-    retired_internal: Vec<Arc<Anomaly>>,
-    retired_sinks: BTreeMap<Key, Vec<Arc<Anomaly>>>,
 }
 
 /// Incremental coverage statistics (§3): which committed writes were
@@ -450,7 +444,7 @@ pub struct StreamChecker {
     list: DtCache,
     reg: DtCache,
     set: DtCache,
-    counter: CounterCache,
+    counter: DtCache,
     /// Datatype each cached key was last analyzed under, to detect
     /// (rare, conflict-driven) reassignment.
     assigned: FxHashMap<Key, DataType>,
@@ -535,7 +529,7 @@ impl StreamChecker {
             list: DtCache::default(),
             reg: DtCache::default(),
             set: DtCache::default(),
-            counter: CounterCache::default(),
+            counter: DtCache::default(),
             assigned: FxHashMap::default(),
             coverage: Coverage::default(),
             deps: DepGraph::with_txns(0),
@@ -608,15 +602,12 @@ impl StreamChecker {
         total += self.postings.sorted.len() * size_of::<(Key, TxnId)>();
         total += self.elems.resident_bytes();
         total += self.deps.resident_bytes();
-        for cache in [&self.list, &self.reg, &self.set] {
+        for cache in [&self.list, &self.reg, &self.set, &self.counter] {
             for sink in cache.sinks.values() {
                 total += sink.edges.len() * size_of::<Edge>()
                     + sink.observed_elems.len() * size_of::<Elem>()
                     + sink.anomalies.len() * size_of::<Arc<Anomaly>>();
             }
-        }
-        for (anoms, edges) in self.counter.sinks.values() {
-            total += edges.len() * size_of::<Edge>() + anoms.len() * size_of::<Arc<Anomaly>>();
         }
         total +=
             (self.coverage.pairs.len() + self.coverage.observed.len()) * size_of::<(Key, Elem)>();
@@ -744,7 +735,7 @@ impl StreamChecker {
         // duplicate-write and sink anomalies.
         {
             let list_keys = self.kt.keys_of(DataType::List);
-            stash_retired_dt::<elle_core::list_append::ListAppend>(
+            stash_retired_dt::<ListAppend>(
                 &mut self.list,
                 &list_keys,
                 &retiring,
@@ -753,7 +744,7 @@ impl StreamChecker {
                 r,
             );
             let reg_keys = self.kt.keys_of(DataType::Register);
-            stash_retired_dt::<elle_core::rw_register::RwRegister>(
+            stash_retired_dt::<RwRegister>(
                 &mut self.reg,
                 &reg_keys,
                 &retiring,
@@ -762,7 +753,7 @@ impl StreamChecker {
                 r,
             );
             let set_keys = self.kt.keys_of(DataType::Set);
-            stash_retired_dt::<elle_core::set_add::SetAdd>(
+            stash_retired_dt::<SetAdd>(
                 &mut self.set,
                 &set_keys,
                 &retiring,
@@ -771,25 +762,14 @@ impl StreamChecker {
                 r,
             );
             let counter_keys = self.kt.keys_of(DataType::Counter);
-            let live = self.counter.internal.split_off(&TxnId(r));
-            let retired_part = std::mem::replace(&mut self.counter.internal, live);
-            for (_, list) in retired_part {
-                self.counter.retired_internal.extend(list);
-            }
-            for &k in retiring
-                .iter()
-                .filter(|k| counter_keys.binary_search(k).is_ok())
-            {
-                if let Some((anoms, _)) = self.counter.sinks.remove(&k) {
-                    if !anoms.is_empty() {
-                        self.counter
-                            .retired_sinks
-                            .entry(k)
-                            .or_default()
-                            .extend(anoms);
-                    }
-                }
-            }
+            stash_retired_dt::<Counter>(
+                &mut self.counter,
+                &counter_keys,
+                &retiring,
+                history,
+                &self.elems,
+                r,
+            );
         }
 
         // Fold the retiring keys' coverage contributions into scalars;
@@ -1109,10 +1089,14 @@ impl StreamChecker {
                 Some(prev) if Some(*prev) != now => {
                     self.key_types_changed = true;
                     self.needs_rebuild = true;
-                    for cache in [&mut self.list, &mut self.reg, &mut self.set] {
+                    for cache in [
+                        &mut self.list,
+                        &mut self.reg,
+                        &mut self.set,
+                        &mut self.counter,
+                    ] {
                         cache.sinks.remove(&k);
                     }
-                    self.counter.sinks.remove(&k);
                 }
                 _ => {}
             }
@@ -1133,7 +1117,7 @@ impl StreamChecker {
         let mut dt_delta_edges: Vec<Vec<Edge>> = Vec::with_capacity(4);
         {
             let list_keys = self.kt.keys_of(DataType::List);
-            let (r, edges) = refresh_dt::<elle_core::list_append::ListAppend>(
+            let (r, edges) = refresh_dt::<ListAppend>(
                 history,
                 &self.elems,
                 &list_keys,
@@ -1151,7 +1135,7 @@ impl StreamChecker {
             self.needs_rebuild |= r;
             dt_delta_edges.push(edges);
             let reg_keys = self.kt.keys_of(DataType::Register);
-            let (r, edges) = refresh_dt::<elle_core::rw_register::RwRegister>(
+            let (r, edges) = refresh_dt::<RwRegister>(
                 history,
                 &self.elems,
                 &reg_keys,
@@ -1169,7 +1153,7 @@ impl StreamChecker {
             self.needs_rebuild |= r;
             dt_delta_edges.push(edges);
             let set_keys = self.kt.keys_of(DataType::Set);
-            let (r, edges) = refresh_dt::<elle_core::set_add::SetAdd>(
+            let (r, edges) = refresh_dt::<SetAdd>(
                 history,
                 &self.elems,
                 &set_keys,
@@ -1186,69 +1170,24 @@ impl StreamChecker {
             );
             self.needs_rebuild |= r;
             dt_delta_edges.push(edges);
-        }
-        // Counter refresh (not trait-driven, same shape).
-        {
-            let counter_keys = KeySlots::new(self.kt.keys_of(DataType::Counter));
-            let cache = &mut self.counter;
-            if full_internal {
-                cache.internal.clear();
-                for a in counter::internal_anomalies(history.txns().iter(), &counter_keys) {
-                    cache
-                        .internal
-                        .entry(a.txns[0])
-                        .or_default()
-                        .push(Arc::new(a));
-                }
-            } else {
-                for &id in &self.delta_txns {
-                    cache.internal.remove(&id);
-                }
-                let delta_iter = self.delta_txns.iter().map(|id| history.get(*id));
-                for a in counter::internal_anomalies(delta_iter, &counter_keys) {
-                    cache
-                        .internal
-                        .entry(a.txns[0])
-                        .or_default()
-                        .push(Arc::new(a));
-                }
-            }
-            let mut dirty_counter: Vec<Key> = dirty
-                .iter()
-                .copied()
-                .filter(|k| counter_keys.contains(*k))
-                .collect();
-            dirty_counter.sort_unstable();
-            dirty_count += dirty_counter.len();
-            let scope = self.postings.scope_of(&dirty_counter);
-            scoped_txn_count += scope.len();
-            let dirty_slots = KeySlots::from_sorted(dirty_counter);
-            let start = Instant::now();
-            let mut buf = GatherBuf::new();
-            counter::gather(
-                scope.iter().map(|id| history.get(*id)),
-                &dirty_slots,
-                &mut buf,
+            let counter_keys = self.kt.keys_of(DataType::Counter);
+            let (r, edges) = refresh_dt::<Counter>(
+                history,
+                &self.elems,
+                &counter_keys,
+                (),
+                &dirty,
+                &self.postings,
+                &self.delta_txns,
+                full_internal,
+                &mut self.counter,
+                &mut self.coverage,
+                &mut scoped_txn_count,
+                &mut dirty_count,
+                &mut gather,
             );
-            let buf_bytes = buf.footprint_bytes();
-            let grouped = buf.group(dirty_slots.len());
-            gather.absorb(GatherStats {
-                secs: start.elapsed().as_secs_f64(),
-                buf_bytes: buf_bytes.max(grouped.footprint_bytes()),
-            });
-            let mut delta_edges: Vec<Edge> = Vec::new();
-            for slot in grouped.occupied() {
-                let key = dirty_slots.key(slot);
-                let data = counter::CounterKeyData::from_occs(grouped.run(slot));
-                let (anomalies, edges) = counter::analyze_key(history, key, &data);
-                let old = cache.sinks.get(&key).map_or(&[][..], |(_, e)| e.as_slice());
-                match edge_delta(old, &edges) {
-                    Some(mut delta) => delta_edges.append(&mut delta),
-                    None => self.needs_rebuild = true,
-                }
-                cache.sinks.insert(key, (intern(anomalies), edges));
-            }
-            dt_delta_edges.push(delta_edges);
+            self.needs_rebuild |= r;
+            dt_delta_edges.push(edges);
         }
         if self.key_types_changed {
             // A key changed datatype: its old contribution to the
@@ -1256,7 +1195,7 @@ impl StreamChecker {
             // different pairs, or none). Rebuild coverage from the
             // refreshed sinks — only on this rare, conflict-driven path.
             self.coverage = Coverage::default();
-            for cache in [&self.list, &self.reg, &self.set] {
+            for cache in [&self.list, &self.reg, &self.set, &self.counter] {
                 for (key, sink) in &cache.sinks {
                     for &e in &sink.observed_elems {
                         self.coverage.observed.insert((*key, e));
@@ -1398,16 +1337,11 @@ impl StreamChecker {
         let n = history.len();
         if self.needs_rebuild {
             let mut deps = DepGraph::with_txns(n);
-            for cache in [&self.list, &self.reg, &self.set] {
+            for cache in [&self.list, &self.reg, &self.set, &self.counter] {
                 for sink in cache.sinks.values() {
                     for (a, b, w) in &sink.edges {
                         deps.add(*a, *b, w.clone());
                     }
-                }
-            }
-            for (_, edges) in self.counter.sinks.values() {
-                for (a, b, w) in edges {
-                    deps.add(*a, *b, w.clone());
                 }
             }
             if self.opts.process_edges {
@@ -1502,22 +1436,11 @@ impl StreamChecker {
         // ── Assemble the report in batch order. ───────────────────────
         use datatype::Vocab;
         let mut anomalies: Vec<Arc<Anomaly>> = Vec::new();
-        let parts: [(&DtCache, &Vocab, DataType); 3] = [
-            (
-                &self.list,
-                &<elle_core::list_append::ListAppend as DatatypeAnalysis>::VOCAB,
-                DataType::List,
-            ),
-            (
-                &self.reg,
-                &<elle_core::rw_register::RwRegister as DatatypeAnalysis>::VOCAB,
-                DataType::Register,
-            ),
-            (
-                &self.set,
-                &<elle_core::set_add::SetAdd as DatatypeAnalysis>::VOCAB,
-                DataType::Set,
-            ),
+        let parts: [(&DtCache, &Vocab, DataType); 4] = [
+            (&self.list, &ListAppend::VOCAB, DataType::List),
+            (&self.reg, &RwRegister::VOCAB, DataType::Register),
+            (&self.set, &SetAdd::VOCAB, DataType::Set),
+            (&self.counter, &Counter::VOCAB, DataType::Counter),
         ];
         for (cache, vocab, dt) in parts {
             let keys = KeySlots::new(self.kt.keys_of(dt));
@@ -1551,21 +1474,6 @@ impl StreamChecker {
             }
             for sink in cache.sinks.values() {
                 anomalies.extend(sink.anomalies.iter().cloned());
-            }
-        }
-        if !self.kt.keys_of(DataType::Counter).is_empty()
-            || !self.counter.retired_internal.is_empty()
-            || !self.counter.retired_sinks.is_empty()
-        {
-            anomalies.extend(self.counter.retired_internal.iter().cloned());
-            for list in self.counter.internal.values() {
-                anomalies.extend(list.iter().cloned());
-            }
-            for list in self.counter.retired_sinks.values() {
-                anomalies.extend(list.iter().cloned());
-            }
-            for (anoms, _) in self.counter.sinks.values() {
-                anomalies.extend(anoms.iter().cloned());
             }
         }
         anomalies.extend(self.evicted.values().cloned());
@@ -1767,11 +1675,7 @@ impl StreamChecker {
                 stash_of(&self.list),
                 stash_of(&self.reg),
                 stash_of(&self.set),
-                DtStashCarry {
-                    internal: unpack(&self.counter.retired_internal),
-                    dups: Vec::new(),
-                    sinks: unpack_map(&self.counter.retired_sinks),
-                },
+                stash_of(&self.counter),
             ],
         })
     }
@@ -1841,13 +1745,7 @@ impl StreamChecker {
                 apply_stash(&mut fresh.list, l);
                 apply_stash(&mut fresh.reg, rg);
                 apply_stash(&mut fresh.set, st);
-                fresh.counter.retired_internal =
-                    ct.internal.iter().cloned().map(Arc::new).collect();
-                fresh.counter.retired_sinks = ct
-                    .sinks
-                    .iter()
-                    .map(|(k, v)| (*k, v.iter().cloned().map(Arc::new).collect()))
-                    .collect();
+                apply_stash(&mut fresh.counter, ct);
             }
             // The first seal must rebuild: replayed commits' realtime
             // edges come from the carried frontier, not per-commit
@@ -2054,8 +1952,8 @@ fn recompute_prefix_max(history: &History, commits: &[(u64, TxnId)], out: &mut V
     }
 }
 
-/// Refresh one trait-driven datatype: internal pass over the delta
-/// transactions, per-key re-analysis of the dirty keys. Returns
+/// Refresh one datatype: internal pass over the delta transactions,
+/// per-key re-analysis of the dirty keys. Returns
 /// `(retraction, delta edges)`.
 #[allow(clippy::too_many_arguments)]
 fn refresh_dt<D: DatatypeAnalysis>(

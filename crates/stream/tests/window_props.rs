@@ -19,21 +19,76 @@ fn mix(seed: u64, i: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A key-rotating list-append history: every `span` transactions the
-/// active key advances and the previous key is never touched again —
-/// the Jepsen-style workload shape windowed retirement is built for
-/// (a hot key pins its touchers; a rotated-away key quiesces and can
-/// be retired).
+/// A key-rotating history: every `span` transactions the active key
+/// advances and the previous key is never touched again — the
+/// Jepsen-style workload shape windowed retirement is built for (a hot
+/// key pins its touchers; a rotated-away key quiesces and can be
+/// retired). Key `k` is a list, register, set or counter by `k % 4`,
+/// so retirement, stashing and restore run for every datatype. Reads
+/// observe the serial state, except on the first counter key (key 3):
+/// its first transaction reads negative values (two garbage reads) and
+/// one that disagrees with its own increment (an internal
+/// inconsistency), so those anomalies must survive that key's
+/// retirement.
 fn rotating_history(seed: u64, n_txns: usize, span: usize, procs: u32) -> History {
+    let span = span.max(1);
     let mut b = HistoryBuilder::new();
+    let mut seen: Vec<u64> = Vec::new(); // the active key's writes so far
+    let mut sum = 0i64; // the active counter's committed total
     for i in 0..n_txns {
-        let key = (i / span.max(1)) as u64;
-        let p = (mix(seed, i as u64) % u64::from(procs.max(1))) as u32;
-        let t = b.txn(p).append(key, i as u64);
-        let t = if mix(seed, i as u64) & 2 != 0 {
-            t.read(key)
-        } else {
-            t
+        let key = (i / span) as u64;
+        if i % span == 0 {
+            seen.clear();
+            sum = 0;
+        }
+        let r = mix(seed, i as u64);
+        let p = (r % u64::from(procs.max(1))) as u32;
+        let observe = r & 2 != 0;
+        let e = i as u64;
+        let t = b.txn(p);
+        let t = match key % 4 {
+            0 => {
+                seen.push(e);
+                let t = t.append(key, e);
+                if observe {
+                    t.read_list(key, seen.iter().copied())
+                } else {
+                    t.read(key)
+                }
+            }
+            1 => {
+                let t = if observe {
+                    t.read_register(key, seen.last().copied())
+                } else {
+                    t
+                };
+                seen.push(e);
+                t.write(key, e)
+            }
+            2 => {
+                seen.push(e);
+                let t = t.add_to_set(key, e);
+                if observe {
+                    t.read_set(key, seen.iter().copied())
+                } else {
+                    t
+                }
+            }
+            _ if key == 3 && i % span == 0 => {
+                sum += 1;
+                t.read_counter(key, -2)
+                    .increment(key, 1)
+                    .read_counter(key, -3)
+            }
+            _ => {
+                sum += 1 + (r >> 8) as i64 % 3;
+                let t = t.increment(key, 1 + (r >> 8) as i64 % 3);
+                if observe {
+                    t.read_counter(key, sum)
+                } else {
+                    t
+                }
+            }
         };
         t.commit();
     }
@@ -339,4 +394,10 @@ fn windowed_snapshot_restore_is_byte_identical() {
         "restored verdict must be byte-identical"
     );
     assert_eq!(eo.window, er.window);
+    // The early counter key's anomalies were found before it retired
+    // and must still be reported from the stash.
+    assert!(original.retired_txns() > 12, "key 3 (txns 9..12) retired");
+    let counts = &er.report.anomaly_counts;
+    assert_eq!(counts.get(&AnomalyType::Internal).copied(), Some(1));
+    assert_eq!(counts.get(&AnomalyType::GarbageRead).copied(), Some(2));
 }
